@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .base_fields import PrimeField, RationalField
+from .base_fields import PrimeField, RationalField, is_prime
 from .errors import (
     InputError,
     LarmourError,
@@ -34,10 +34,10 @@ from .residue_maps import (
     BoundaryClass,
     HermRankClass,
     ResidueForm,
-    boundary,
     d0,
     d1,
     divergence_warnings,
+    split_boundary,
     witt_equal,
 )
 from .involutions import classify_case
@@ -87,10 +87,19 @@ def parse_problem(doc: dict) -> ProblemSpec:
         raise ParseError("missing field.p", "field.p")
     if p != "Q":
         try:
-            p = int(p)
+            prime = int(p)
         except (TypeError, ValueError):
+            prime = 0
+        if prime < 3 or not is_prime(prime):
             raise ParseError(f"p must be an odd prime or 'Q', got {p!r}", "field.p")
-    precision = int(field.get("precision", doc.get("precision", DEFAULT_PRECISION)))
+        p = prime
+    raw = field.get("precision", doc.get("precision", DEFAULT_PRECISION))
+    try:
+        precision = int(raw)
+    except (TypeError, ValueError):
+        precision = 0
+    if precision < 1:
+        raise ParseError(f"precision must be a positive integer, got {raw!r}", "field.precision")
     algebra = doc.get("algebra", {})
     a = algebra.get("a", doc.get("a"))
     b = algebra.get("b", doc.get("b"))
@@ -249,22 +258,25 @@ def cmd_decompose(built: BuiltProblem) -> dict:
     return env
 
 
-def cmd_residues(built: BuiltProblem) -> dict:
+def _residues_envelope(command: str, built: BuiltProblem) -> tuple[dict, LarmourSplit]:
     split = larmour_decompose(built.form, built.record)
-    env = _envelope("residues", built)
+    env = _envelope(command, built)
     env["decomposition"] = _split_doc(split, built.record)
     r0 = d0(split, built.record)
     env["residues"] = {
         "d0": _residue_form_doc(r0),
         "d1": None if built.record.s_eps == 2 else _residue_form_doc(d1(split, built.record)),
     }
-    return env
+    return env, split
+
+
+def cmd_residues(built: BuiltProblem) -> dict:
+    return _residues_envelope("residues", built)[0]
 
 
 def cmd_boundary(built: BuiltProblem) -> dict:
-    env = cmd_residues(built)
-    env["command"] = "boundary"
-    env["boundary"] = _boundary_doc(boundary(built.form, built.record))
+    env, split = _residues_envelope("boundary", built)
+    env["boundary"] = _boundary_doc(split_boundary(split, built.record))
     return env
 
 
@@ -340,7 +352,7 @@ def _apply_overrides(doc: dict, args) -> dict:
     if isinstance(doc, dict):
         if args.p is not None:
             doc.setdefault("field", {})
-            doc["field"]["p"] = args.p if args.p == "Q" else int(args.p)
+            doc["field"]["p"] = args.p
         if args.precision is not None:
             doc.setdefault("field", {})
             doc["field"]["precision"] = args.precision

@@ -1,7 +1,8 @@
 """Diagonal eps-hermitian forms over (D, sigma) and their decomposition.
 
-The pipeline is: validate entries, push every entry's value into {0, 1/j}
-by conjugating with the distinguished uniformizer, then (over ramified
+The pipeline is: validate entries, move each entry's value into {0, 1/j}
+by one conjugation with a power P = pi'^m of the distinguished uniformizer
+(closed form, as pi'^2 is a monomial scalar of K), then (over ramified
 algebras) reduce each entry to its case shape by lifting a residue-level
 isometry.  Every move carries an explicit witness t realizing
 sigma(t) * source * t = target, re-verifiable to a fixed residual
@@ -110,11 +111,6 @@ def identity_witness(u: QuatElem) -> IsometryWitness:
     return IsometryWitness(u.algebra.one(), u, u)
 
 
-def compose_witnesses(first: IsometryWitness, second: IsometryWitness) -> IsometryWitness:
-    """Chain source -> mid -> target into source -> target (t = t1 * t2)."""
-    return IsometryWitness(first.t * second.t, first.source_entry, second.target_entry)
-
-
 @dataclass(frozen=True)
 class LarmourSplit:
     """h0 with unit entries, h1 with value-1/j entries, one composite
@@ -132,32 +128,37 @@ class LarmourSplit:
 
 
 def scale_entry(
-    u: QuatElem, direction: str, record: CaseRecord, sigma: InvolutionDesc
+    u: QuatElem, steps: int, record: CaseRecord, sigma: InvolutionDesc
 ) -> tuple[QuatElem, IsometryWitness]:
-    """Shift an entry's value by +-2/j via u -> pi' u sigma(pi') (or inverses).
+    """Shift an entry's value by steps * 2/j via u -> P u sigma(P), P = pi'^steps.
 
-    The witness is t = sigma(pi'^{+-1}): sigma(t) u t equals the output for
-    any involution, and the output stays eps-symmetric.
+    c = pi'^2 is t^2, t^2 a, b or -ab, so P = c^(steps // 2) pi'^(steps % 2)
+    costs the one quaternion product pi' * pi'.  The witness is t = sigma(P):
+    sigma(t) u t equals the output for any involution, and the output stays
+    eps-symmetric.
     """
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
-    pivot = record.pi_prime if direction == "up" else record.pi_prime.inv()
+    pi = record.pi_prime
+    c = (pi * pi).c1
+    k = steps // 2
+    if k < 0:
+        c, k = c.inv(), -k
+    power = c.field.monomial(c.coeffs[0] ** k, c.val * k)
+    pivot = pi.scale(power) if steps % 2 else record.algebra.scalar(power)
     t = sigma.apply(pivot)
-    out = pivot * u * sigma.apply(pivot)
+    out = pivot * u * t
     return out, IsometryWitness(t, u, out)
 
 
 def normalize_values(h: HermitianForm, record: CaseRecord) -> LarmourSplit:
-    """Repeatedly rescale entries until every value lies in {0, 1/j}.
+    """Move every entry's value into {0, 1/j} with at most one scale_entry call.
 
     When s_eps = 2 an entry of odd half-value would be unreachable; that
     cannot happen for genuinely eps-symmetric entries, so it raises the
-    internal-inconsistency signal instead of looping.
+    internal-inconsistency signal instead.
     """
     validate_form(h)
     j = record.j
-    step = 4 // j  # half-units moved per rescaling
-    h0_entries, h1_entries = [], []
+    step = 4 // j  # half-units moved per power of pi'
     witnesses, routes = [], []
     for u in h.entries:
         num = val_floor_half_units(u)  # = 2*nu_D(u); exact in a division algebra
@@ -168,29 +169,22 @@ def normalize_values(h: HermitianForm, record: CaseRecord) -> LarmourSplit:
             raise ValueParityImpossible(
                 f"case {record.label} admits no ramified part (s_eps = 2)"
             )
-        witness = identity_witness(u)
-        current = u
-        while num > target:
-            current, w = scale_entry(current, "down", record, h.sigma)
-            witness = compose_witnesses(witness, w)
-            num -= step
-        while num < target:
-            current, w = scale_entry(current, "up", record, h.sigma)
-            witness = compose_witnesses(witness, w)
-            num += step
-        if target == 0:
-            h0_entries.append(current)
-            routes.append(0)
+        if num == target:
+            witnesses.append(identity_witness(u))
         else:
-            h1_entries.append(current)
-            routes.append(1)
-        witnesses.append(witness)
-    return LarmourSplit(
-        HermitianForm(h.algebra, h.sigma, h.eps, tuple(h0_entries)),
-        HermitianForm(h.algebra, h.sigma, h.eps, tuple(h1_entries)),
-        tuple(witnesses),
-        tuple(routes),
-    )
+            witnesses.append(scale_entry(u, (target - num) // step, record, h.sigma)[1])
+        routes.append(0 if target == 0 else 1)
+    return _assemble_split(h, witnesses, routes)
+
+
+def _assemble_split(h: HermitianForm, witnesses: list, routes: list) -> LarmourSplit:
+    """h0 and h1 from the witness targets, in entry order, by route."""
+
+    def part(route):
+        entries = tuple(w.target_entry for w, r in zip(witnesses, routes) if r == route)
+        return HermitianForm(h.algebra, h.sigma, h.eps, entries)
+
+    return LarmourSplit(part(0), part(1), tuple(witnesses), tuple(routes))
 
 
 # ---------------------------------------------------------------------------
@@ -339,31 +333,29 @@ def larmour_decompose(h: HermitianForm, record: CaseRecord | None = None) -> Lar
     if record is None:
         record = classify_case(h.algebra, h.sigma, h.eps)
     split = normalize_values(h, record)
-    if not h.algebra.ramified:
-        _verify_split(split, record)
-        return split
-
-    new_h0, new_h1 = [], []
-    witnesses = list(split.witnesses)
-    i0 = i1 = 0
-    for idx, route in enumerate(split.routes):
-        if route == 0:
-            simplified, w = simplify_unramified_entry(split.h0.entries[i0], record, h.sigma)
-            new_h0.append(simplified)
-            i0 += 1
-        else:
-            simplified, w = simplify_ramified_entry(split.h1.entries[i1], record, h.sigma)
-            new_h1.append(simplified)
-            i1 += 1
-        witnesses[idx] = compose_witnesses(witnesses[idx], w)
-    split = LarmourSplit(
-        HermitianForm(h.algebra, h.sigma, h.eps, tuple(new_h0)),
-        HermitianForm(h.algebra, h.sigma, h.eps, tuple(new_h1)),
-        tuple(witnesses),
-        split.routes,
-    )
+    if h.algebra.ramified:
+        final = [_simplify(w, r, record, h.sigma) for w, r in zip(split.witnesses, split.routes)]
+        split = _assemble_split(h, final, split.routes)
     _verify_split(split, record)
     return split
+
+
+def _simplify(
+    moved: IsometryWitness, route: int, record: CaseRecord, sigma: InvolutionDesc
+) -> IsometryWitness:
+    """Simplify a normalized entry; its witness starts at the original entry.
+
+    An entry left in place is the very object in and out (no move, no lift),
+    so witnesses are multiplied only when both a move and a lift happened.
+    """
+    simplify = simplify_unramified_entry if route == 0 else simplify_ramified_entry
+    v = moved.target_entry
+    simplified, lift = simplify(v, record, sigma)
+    if simplified is v:
+        return moved
+    if moved.source_entry is v:
+        return lift
+    return IsometryWitness(moved.t * lift.t, moved.source_entry, simplified)
 
 
 def _verify_split(split: LarmourSplit, record: CaseRecord):

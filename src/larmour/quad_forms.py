@@ -51,12 +51,6 @@ class QuadFormK:
         return "<" + ", ".join(str(e) for e in self.entries) + ">"
 
 
-@dataclass(frozen=True)
-class SpringerResidues:
-    r0: QuadFormRes
-    r1: QuadFormRes
-
-
 def springer_split(q: QuadFormK) -> tuple[QuadFormK, QuadFormK]:
     """Split q into unit-entry parts (q0, q1) with q ~ q0 + t*q1.
 

@@ -37,10 +37,6 @@ class HalfInt:
 
     numerator: int
 
-    @classmethod
-    def from_int(cls, n: int) -> "HalfInt":
-        return cls(2 * n)
-
     @property
     def is_integral(self) -> bool:
         return self.numerator % 2 == 0

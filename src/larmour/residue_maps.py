@@ -219,22 +219,37 @@ class BoundaryClass:
         return f"({self.c0}, {self.c1 if self.c1 is not None else '-'})"
 
 
-def boundary(h: HermitianForm, record: CaseRecord | None = None) -> BoundaryClass:
-    """Decompose and reduce both residue forms to canonical Witt classes."""
+_BOUNDARY_NEEDS_FINITE = (
+    "canonical boundary classes need a finite residue field; "
+    "use d0/d1 for form-level residues"
+)
+
+
+def _decompose_finite(h: HermitianForm, record: CaseRecord | None, message: str):
+    """Shared prelude of the finite-field decisions: check, classify, decompose."""
     if not isinstance(h.algebra.base.residue, PrimeField):
-        raise UnsupportedField(
-            "canonical boundary classes need a finite residue field; "
-            "use d0/d1 for form-level residues"
-        )
+        raise UnsupportedField(message)
     if record is None:
         record = classify_case(h.algebra, h.sigma, h.eps)
-    split = larmour_decompose(h, record)
-    ext = residue_field_extension(h.algebra)
+    return record, larmour_decompose(h, record)
+
+
+def split_boundary(split: LarmourSplit, record: CaseRecord) -> BoundaryClass:
+    """Reduce both residue forms of a decomposition to canonical Witt classes."""
+    if not isinstance(record.algebra.base.residue, PrimeField):
+        raise UnsupportedField(_BOUNDARY_NEEDS_FINITE)
+    ext = residue_field_extension(record.algebra)
     c0 = residue_witt_class(d0(split, record), ext)
     if record.s_eps == 2:
         return BoundaryClass(c0, None)
     c1 = residue_witt_class(d1(split, record), ext)
     return BoundaryClass(c0, c1)
+
+
+def boundary(h: HermitianForm, record: CaseRecord | None = None) -> BoundaryClass:
+    """Decompose and reduce both residue forms to canonical Witt classes."""
+    record, split = _decompose_finite(h, record, _BOUNDARY_NEEDS_FINITE)
+    return split_boundary(split, record)
 
 
 def witt_equal(h1f: HermitianForm, h2f: HermitianForm) -> bool:
@@ -259,10 +274,7 @@ def _residue_form_anisotropic(form: ResidueForm, ext: QuadExtField) -> bool:
 
 def is_anisotropic_herm(h: HermitianForm) -> bool:
     """Anisotropy over K via anisotropy of both residue forms."""
-    if not isinstance(h.algebra.base.residue, PrimeField):
-        raise UnsupportedField("anisotropy decision needs a finite residue field")
-    record = classify_case(h.algebra, h.sigma, h.eps)
-    split = larmour_decompose(h, record)
+    record, split = _decompose_finite(h, None, "anisotropy decision needs a finite residue field")
     ext = residue_field_extension(h.algebra)
     if not _residue_form_anisotropic(d0(split, record), ext):
         return False

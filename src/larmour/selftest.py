@@ -419,7 +419,6 @@ def _gram_bilinear(field, gram, v, w):
 
 def _iter_vectors(field, n):
     elems = list(field.all_raw())
-    idx = [0] * n
     total = len(elems) ** n
     for k in range(total):
         vec, kk = [], k

@@ -205,10 +205,6 @@ class LaurentElem:
     def is_possibly_zero(self) -> bool:
         return self.val is None
 
-    def effective_prec(self):
-        """Known-coefficient bound; None means all coefficients are known."""
-        return self.prec
-
     def known_floor(self) -> int | None:
         """Certified lower bound for the valuation; None for exact zero."""
         if self.val is not None:

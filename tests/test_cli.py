@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+import larmour.cli as cli
+import larmour.residue_maps as residue_maps
 from larmour.cli import build_problem, main, parse_problem
 from larmour.errors import NotEpsilonSymmetric, ParseError, SplitAlgebra
+from larmour.hermitian import larmour_decompose
 
 B12_DOC = {
     "field": {"p": 3, "precision": 32},
@@ -110,6 +113,23 @@ class TestCommands:
         assert out["boundary"]["c1"] == {"kind": "quad_witt", "rank_parity": 1, "disc": "1"}
         assert not out["boundary"]["is_zero"]
 
+    def test_boundary_decomposes_once(self, capsys, tmp_path, monkeypatch):
+        doc = dict(B12_DOC, form=[["0", "t", "0", "0"], ["0", "0", "1", "0"]])
+        built = build_problem(parse_problem(doc))
+        expected = cli._boundary_doc(residue_maps.boundary(built.form, built.record))
+        calls = []
+
+        def counting_decompose(h, record=None):
+            calls.append(h)
+            return larmour_decompose(h, record)
+
+        for module in (cli, residue_maps):
+            monkeypatch.setattr(module, "larmour_decompose", counting_decompose)
+        code, out, err = run_cli(capsys, ["boundary"], doc, tmp_path)
+        assert code == 0
+        assert len(calls) == 1
+        assert out["boundary"] == expected
+
     def test_boundary_needs_finite_residue(self, capsys, tmp_path):
         doc = {
             "field": {"p": "Q"},
@@ -165,6 +185,23 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 1
         assert json.loads(captured.out)["error_kind"] == "input_error"
+
+    @pytest.mark.parametrize(
+        "field, argv",
+        [
+            ({"p": 4}, []),
+            ({"p": 3, "precision": "abc"}, []),
+            ({"p": 3, "precision": 0}, []),
+            ({"p": 3}, ["--precision", "0"]),
+            ({"p": 3}, ["--p", "abc"]),
+        ],
+        ids=["p-not-prime", "precision-not-int", "precision-zero", "precision-flag-zero",
+             "p-flag-not-int"],
+    )
+    def test_bad_field_is_input_error(self, capsys, tmp_path, field, argv):
+        code, out, err = run_cli(capsys, ["classify"] + argv, dict(B12_DOC, field=field), tmp_path)
+        assert code == 1
+        assert out["status"] == "error" and out["error_kind"] == "input_error"
 
     def test_p_override(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, ["classify", "--p", "5"], B12_DOC, tmp_path)

@@ -21,7 +21,7 @@ from larmour.hermitian import (
     validate_form,
 )
 from larmour.involutions import InvolutionDesc, classify_case
-from larmour.quaternion import residue_D, val_floor_half_units, valuation_D
+from larmour.quaternion import QuatElem, residue_D, val_floor_half_units, valuation_D
 from larmour.random_forms import (
     ALL_CASE_LABELS,
     case_record,
@@ -62,7 +62,7 @@ class TestScaleEntry:
     def test_down_scale_scalar(self):
         rec = classify_case(B3, TAU, 1)
         u = B3.scalar(K3.t())
-        out, w = scale_entry(u, "down", rec, TAU)
+        out, w = scale_entry(u, -1, rec, TAU)
         assert out == B3.scalar(K3.const(2))  # y^{-1} t tau(y^{-1}) = -1 = 2
         assert w.residual_half_units(TAU.pattern) >= VERIFY_HALF_UNITS
 
@@ -71,7 +71,7 @@ class TestScaleEntry:
 
         A = rational_algebra()
         rec = classify_case(A, TAU, 1)
-        out, w = scale_entry(A.one(), "up", rec, TAU)
+        out, w = scale_entry(A.one(), 1, rec, TAU)
         assert out == A.scalar(A.base.t(2))
         assert w.residual_half_units(TAU.pattern) >= VERIFY_HALF_UNITS
 
@@ -83,12 +83,31 @@ class TestScaleEntry:
             for _ in range(50):
                 u = rand_sym_entry(rng, rec)
                 before = valuation_D(u).numerator
-                up, w_up = scale_entry(u, "up", rec, sigma)
-                down, w_down = scale_entry(u, "down", rec, sigma)
+                up, w_up = scale_entry(u, 1, rec, sigma)
+                down, w_down = scale_entry(u, -1, rec, sigma)
                 assert valuation_D(up).numerator - before == 4 // rec.j
                 assert before - valuation_D(down).numerator == 4 // rec.j
                 for w in (w_up, w_down):
                     assert w.residual_half_units(sigma.pattern) >= VERIFY_HALF_UNITS
+
+    @pytest.mark.parametrize("label", ALL_CASE_LABELS)
+    def test_closed_form_matches_repeated_products(self, label):
+        # P = pi'^m built as |m| explicit products of pi' or its inverse
+        rec = case_record(label)
+        sigma = rec.sigma
+        entry = rand_sym_entry(random.Random(8), rec)
+        for u in (entry, entry.truncate(12)):
+            for sign in (1, -1):
+                factor = rec.pi_prime if sign > 0 else rec.pi_prime.inv()
+                pivot, done = rec.algebra.one(), 0
+                for m in (1, 2, 3, 4, 5, 6, 7, 501):
+                    for _ in range(m - done):
+                        pivot = pivot * factor
+                    done = m
+                    out, w = scale_entry(u, sign * m, rec, sigma)
+                    assert out == pivot * u * sigma.apply(pivot)
+                    assert w.t == sigma.apply(pivot)
+                    assert w.source_entry is u and w.target_entry is out
 
 
 class TestNormalizeValues:
@@ -258,6 +277,26 @@ class TestDecompose:
         h = HermitianForm(A, TAU, 1, (A.scalar(A.base.t(2)),))
         split = larmour_decompose(h, rec)
         assert split.h0.entries == (A.one(),)
+
+    @pytest.mark.parametrize("label", ALL_CASE_LABELS)
+    def test_product_count_independent_of_value(self, label, monkeypatch):
+        rec = case_record(label)
+        u = rand_sym_entry(random.Random(9), rec)
+        calls = []
+        mul = QuatElem.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(QuatElem, "__mul__", counting_mul)
+        counts = []
+        for m in (4, 3000):
+            deep = u.scale(rec.algebra.base.t(m))
+            calls.clear()
+            larmour_decompose(HermitianForm(rec.algebra, rec.sigma, rec.eps, (deep,)), rec)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_witnesses_verified_and_spans_respected(self):
         rng = random.Random(3)
